@@ -20,12 +20,14 @@ the Python engine in the same invocation (``bit_identical`` records the
 verdict, ``speedup_vs_python`` the ratio against ``after``).
 
 Separate ``--sweep-only`` / ``--distributed-only`` / ``--server-only`` /
-``--families-only`` / ``--characterize-only`` modes measure the
-batched-runner sweep, the loopback-TCP worker fleets, the
-``repro.server`` daemon, the Bi-Mode/perceptron families, and the
-characterization pipeline respectively, each updating only its own
-section of the trajectory file (``batched_sweep`` / ``distributed_sweep``
-/ ``server_sweep`` / ``new_families`` / ``characterization``).
+``--families-only`` / ``--characterize-only`` / ``--cold-only`` modes
+measure the batched-runner sweep, the loopback-TCP worker fleets, the
+``repro.server`` daemon, the Bi-Mode/perceptron families, the
+characterization pipeline and cold array jobs (column build + fused
+simulation, see :func:`measure_cold_columns`) respectively, each updating
+only its own section of the trajectory file (``batched_sweep`` /
+``distributed_sweep`` / ``server_sweep`` / ``new_families`` /
+``characterization`` / ``array_engine_cold``).
 
 Best-of-N is deliberate: on shared/noisy machines the *minimum* runtime is
 the least contaminated estimate of the code's true cost.  The committed
@@ -40,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -60,6 +63,10 @@ QUICK_KEYS = ("engine-null", "bimodal", "tsl64", "llbp")
 #: Keys the array engine supports natively (everything else falls back
 #: to the Python loop, so measuring it there would be meaningless).
 ARRAY_KEYS = ("gshare", "tsl64", "llbp")
+
+#: Keys whose cold array jobs are dominated by building hash columns
+#: (TAGE/SC folds, LLBP slot tags) — the ``array_engine_cold`` section.
+COLD_KEYS = ("tsl64", "llbp")
 
 #: The scenario-diversity families (Bi-Mode, hashed perceptron) recorded
 #: in the ``new_families`` section: python and array throughput plus the
@@ -163,6 +170,55 @@ def measure_array_engine(keys=ARRAY_KEYS, reps=5, trace=None):
         print(f"  {key:<12} {rates[key]:>12,} branches/sec (array)  "
               f"{'bit-identical' if same else 'DIVERGED'}", flush=True)
     return {"branches_per_sec": rates, "bit_identical": identical}
+
+
+def measure_cold_columns(keys=COLD_KEYS, reps=5, trace=None):
+    """Cold array jobs: seconds to build the hash columns, then to simulate.
+
+    Each rep drops the trace's memoised columns, builds them for a fresh
+    predictor (``tsl_columns`` / ``llbp_columns``; the trace is in
+    memory, so nothing is persisted) and runs the array engine over
+    them.  Reports the median and the ``[min, max]`` range over ``reps``
+    of both phases, and the column build's share of the median job.
+    """
+    from repro.llbp.predictor import LLBPTageScL
+    from repro.sim import columns
+    from repro.sim.engine import run_simulation
+    from repro.workloads.catalog import generate_workload
+
+    if trace is None:
+        trace = generate_workload(TRACE_NAME, TRACE_INSTRUCTIONS,
+                                  use_cache=False)
+    out = {}
+    for key in keys:
+        build, sim = [], []
+        for _ in range(reps):
+            trace.aux.clear()
+            predictor = _predictor(key)
+            t0 = time.perf_counter()
+            if isinstance(predictor, LLBPTageScL):
+                columns.llbp_columns(trace, predictor)
+            else:
+                columns.tsl_columns(trace, predictor)
+            t1 = time.perf_counter()
+            run_simulation(trace, predictor, engine="array")
+            build.append(t1 - t0)
+            sim.append(time.perf_counter() - t1)
+        columns_s, sim_s = statistics.median(build), statistics.median(sim)
+        out[key] = {
+            "columns_s": round(columns_s, 4),
+            "columns_s_range": [round(min(build), 4), round(max(build), 4)],
+            "sim_s": round(sim_s, 4),
+            "sim_s_range": [round(min(sim), 4), round(max(sim), 4)],
+            "columns_share": round(columns_s / (columns_s + sim_s), 3),
+        }
+        print(f"  {key:<12} columns {columns_s:.3f} s  sim {sim_s:.3f} s  "
+              f"(columns {out[key]['columns_share']:.0%} of a cold job)",
+              flush=True)
+    trace.aux.clear()
+    return {"trace": TRACE_NAME, "trace_instructions": TRACE_INSTRUCTIONS,
+            "branches": len(trace), "reps": reps, "host_cpus": os.cpu_count(),
+            "keys": out}
 
 
 def measure_new_families(keys=NEW_FAMILY_KEYS, reps=5, trace=None):
@@ -629,6 +685,10 @@ def main(argv=None):
                         help="measure only the Bi-Mode/perceptron families "
                              "(python vs array) and update the new_families "
                              "section of the trajectory file")
+    parser.add_argument("--cold-only", action="store_true",
+                        help="measure only cold array jobs (column build + "
+                             "simulation) and update the array_engine_cold "
+                             "section of the trajectory file")
     parser.add_argument("--characterize-only", action="store_true",
                         help="measure only the characterization digest and "
                              "winner hit rate and update the "
@@ -660,6 +720,22 @@ def main(argv=None):
         args.output.write_text(json.dumps(existing, indent=2) + "\n")
         print(f"wrote {args.output}")
         return 0 if section["bit_identical"] else 1
+
+    if args.cold_only:
+        print("measuring cold array jobs (column build + simulation)",
+              flush=True)
+        section = measure_cold_columns()
+        existing = (json.loads(args.output.read_text())
+                    if args.output.exists() else {})
+        # The pre-optimisation numbers stay, as for the top-level
+        # before/after pair.
+        before = existing.get("array_engine_cold", {}).get("before")
+        if before is not None:
+            section["before"] = before
+        existing["array_engine_cold"] = section
+        args.output.write_text(json.dumps(existing, indent=2) + "\n")
+        print(f"wrote {args.output}")
+        return 0
 
     if args.characterize_only:
         print("measuring characterization digest + winner hit rate",
@@ -786,10 +862,8 @@ def main(argv=None):
         "speedup": _speedups(before, after),
         "array_engine": array_section,
     }
-    for section in ("batched_sweep", "distributed_sweep", "server_sweep",
-                    "notes"):
-        if section in existing:
-            payload[section] = existing[section]
+    for section, value in existing.items():
+        payload.setdefault(section, value)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
     return 0

@@ -257,6 +257,9 @@ class TCPBackend(Backend):
             self._workers_cond.notify_all()
             conns = list(self._conns.values())
         self._queue.put(_SHUTDOWN)
+        # close() alone does not wake the accept thread blocked on the
+        # listener; shutdown() makes its accept() fail right away.
+        _shutdown_socket(self._server)
         try:
             self._server.close()
         except OSError:

@@ -37,6 +37,7 @@ import numpy as np
 from repro import telemetry
 from repro.llbp.predictor import LLBPTageScL
 from repro.predictors.base import BranchPredictor
+from repro.predictors.bimodal import Bimodal
 from repro.predictors.bimode import BiMode
 from repro.predictors.gshare import GShare
 from repro.predictors.perceptron import HashedPerceptron
@@ -58,7 +59,7 @@ def unsupported_reason(predictor: BranchPredictor) -> Optional[str]:
     Exact-type checks on purpose: a subclass may override any method the
     fused code inlines, which would silently diverge from the oracle.
     """
-    if type(predictor) is GShare:
+    if type(predictor) in (GShare, Bimodal):
         return None
     if type(predictor) is BiMode:
         return None
@@ -403,8 +404,9 @@ def _compile_tsl(p: TageScL):
     return namespace["_sim"]
 
 
-def _compile_gshare(p: GShare):
-    """Generate ``_sim(pcs, takens, idx, csplit, per_pc_misp)`` for gshare."""
+def _compile_gshare(p):
+    """Generate ``_sim(pcs, takens, idx, csplit, per_pc_misp)`` for one
+    table of 2-bit counters: gshare, or bimodal with a PC-only index."""
     lines = []
     add = lines.append
     add("def _sim(pcs, takens, idx, csplit, per_pc_misp):")
@@ -951,6 +953,11 @@ def run_simulation_array(
         # final register value so predictor state matches the oracle.
         predictor.history = _outcome_history(
             takens_cond, predictor.history_bits, predictor._hist_mask)
+    elif type(predictor) is Bimodal:
+        idx = (pcs_cond >> np.uint64(2)) & np.uint64(predictor._mask)
+        sim = _compile_gshare(predictor)
+        measured_misp, misp_all = sim(
+            pcs_cond, takens_cond, idx, csplit, per_pc_misp)
     elif type(predictor) is BiMode:
         cols = columns_mod.bimode_columns(trace, predictor)
         sim = _compile_bimode(predictor)

@@ -3,11 +3,26 @@
 Every index, tag and fold the predictors hash per branch is a pure
 function of (trace stream, predictor geometry) — it depends on the
 history *bits*, never on predictions or table contents.  That makes the
-whole hashing layer precomputable: one recorder pass over the trace with
-a fresh predictor of the right geometry captures, per conditional
-branch, every TAGE table index and tag, every SC component index, and
-every LLBP slot tag.  The fused simulation loops then consume these as
-flat integer rows and never touch the folded-history machinery at all.
+whole hashing layer precomputable, and linear enough to compute in
+closed form with whole-column numpy expressions instead of replaying
+the trace:
+
+* every retired branch shifts one bit into the global history (the
+  outcome if conditional, else ``(pc >> 2) & 1``) and one address bit
+  into the 16-bit path register; the statistical corrector keeps its
+  own 64-bit register of conditional outcomes;
+* a length-``L`` history folded into ``W`` bits (``FoldedHistory``'s
+  incremental shift-and-XOR) is a fixed XOR of history bits: bit ``j``
+  of the fold is the XOR of the bits at ages ``a < L`` with
+  ``a ≡ j (mod W)``.  One prefix XOR per residue class mod ``W``
+  (shared by every length folded at that width) turns each fold into
+  three shifted copies of a packed ``W``-bit register (see
+  :class:`_Folds`);
+* the TAGE index/tag, SC index and LLBP slot-tag hashes on top of the
+  folds are elementwise.
+
+The fused simulation loops then consume these as flat integer rows and
+never touch the folded-history machinery at all.
 
 Columns are memoised on ``Trace.aux`` (keyed by a digest of the
 geometry) and, when the trace came from the packed store
@@ -17,16 +32,16 @@ store file lacking the columns emits ``trace.store_stale`` and is
 transparently upgraded in place.
 
 The scalar reference implementations these columns must match are the
-predictors' own ``compute_index`` / ``compute_tag`` /
-``compute_slot_tags`` / ``_component_index`` methods; the property
-tests in ``tests/sim/test_columns.py`` pin that equivalence.
+predictors' own ``_match`` / ``_vote`` / ``compute_slot_tags`` cores as
+a live simulation drives them; the property tests in
+``tests/sim/test_columns.py`` pin that equivalence.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -90,24 +105,40 @@ def gshare_index_column(trace: Trace, index_bits: int,
     return idx.astype(np.uint32)
 
 
+def _shift_register(bits: np.ndarray, width: int) -> np.ndarray:
+    """A ``width``-bit shift register over ``bits``, as seen before each.
+
+    Bit ``k`` of ``reg[i]`` is ``bits[i - 1 - k]`` (0 before the stream
+    starts): the register every ``(reg << 1) | bit`` update leaves
+    behind, newest bit in bit 0.  Built by doubling — a ``2s``-bit
+    register is an ``s``-bit one OR its ``s``-branch-older self shifted
+    up ``s`` bits — in 32-bit lanes while the register shifted left once
+    still fits.  Registers wider than 64 bits keep their low 64.
+    """
+    width = min(width, 64)
+    dtype = np.uint32 if width < 32 else np.uint64
+    reg = np.zeros(len(bits), dtype=dtype)
+    reg[1:] = bits[:-1]
+    span = 1
+    while span < width:
+        reg[span:] |= reg[:-span] << dtype(span)
+        span *= 2
+    if span > width:
+        reg &= dtype((1 << width) - 1)
+    return reg
+
+
 def _cond_history_lanes(trace: Trace,
                         history_bits: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(pcs, hist)`` per conditional branch for outcome-shift histories.
 
     ``hist[i]`` is the global history register (conditional outcomes
     only, newest in bit 0) as seen *before* conditional branch ``i`` —
-    the same bit-lane construction :func:`gshare_index_column` uses.
+    what gshare, bimode, the perceptron and the statistical corrector
+    all shift their outcomes into.
     """
     cond = trace.types == 0
-    pcs = trace.pcs[cond].astype(np.uint64)
-    takens = trace.takens[cond].astype(np.uint64)
-    n = len(pcs)
-    hist = np.zeros(n, dtype=np.uint64)
-    for k in range(history_bits):
-        if k + 1 >= n:
-            break
-        hist[k + 1:] |= takens[:n - k - 1] << np.uint64(k)
-    return pcs, hist
+    return trace.pcs[cond], _shift_register(trace.takens[cond], history_bits)
 
 
 def bimode_index_columns(trace: Trace, config) -> np.ndarray:
@@ -149,70 +180,126 @@ def percep_index_columns(trace: Trace, config) -> np.ndarray:
     return out
 
 
-def _record_columns(trace: Trace, tsl_config,
-                    llbp_config=None) -> Tuple[np.ndarray,
-                                               Optional[np.ndarray]]:
-    """One recorder pass: TAGE indices/tags + SC indices (+ slot tags).
+def _strided_prefix_xor(bits: np.ndarray, stride: int) -> np.ndarray:
+    """``out[k] = bits[k] ^ bits[k - stride] ^ bits[k - 2*stride] ^ ...``.
 
-    A *fresh* predictor of the requested geometry walks the trace doing
-    lookups only — its tables stay empty (every computed tag is >= 0,
-    the tag arrays hold the -1 sentinel, so nothing ever matches) and
-    its RNG is never touched; only the history folds advance.  The
-    recorded hashes are therefore exactly what a simulated predictor of
-    the same geometry computes at each branch, regardless of training.
+    One cumulative XOR per residue class mod ``stride``: the stream is
+    laid out as rows of ``stride`` bits and accumulated down the columns.
     """
-    from repro.predictors.tage_sc_l import TageScL
+    n = len(bits)
+    rows = -(-n // stride)
+    grid = np.zeros(rows * stride, dtype=np.uint8)
+    grid[:n] = bits
+    return np.bitwise_xor.accumulate(
+        grid.reshape(rows, stride), axis=0).ravel()[:n]
 
-    slot_fn = None
-    slot_count = 0
-    if llbp_config is not None:
-        from repro.llbp.predictor import LLBPTageScL
 
-        recorder = LLBPTageScL(llbp_config, baseline=TageScL(tsl_config))
-        tsl = recorder.tsl
-        slot_fn = recorder._slot_tags
-        slot_count = len(llbp_config.slot_lengths)
-    else:
-        tsl = TageScL(tsl_config)
+class _Folds:
+    """The trace's global-history streams, in closed form.
 
-    tage, sc = tsl.tage, tsl.sc
-    num_tables = tage.config.num_tables
-    num_sc = len(sc.history_lengths)
-    n_cond = int((trace.types == 0).sum())
+    ``fold(L, W)`` equals the ``W``-bit fold of the last ``L`` history
+    bits that ``HistorySet`` maintains incrementally, as seen before
+    each branch of the trace.  With ``S`` the stride-``W`` prefix XOR of
+    the history bits and ``R`` the ``W``-bit shift register over ``S``
+    (bit ``j`` of ``R[i]`` is ``S[i - 1 - j]``), bit ``j`` of the fold at
+    branch ``i`` is ``S[i-1-j] ^ S[i-1-last_j-W]``, ``last_j`` being the
+    oldest age ``< L`` in ``j``'s residue class.  Writing
+    ``L = q*W + r``, ``last_j + W`` is ``(q+1)*W + j`` for ``j < r`` and
+    ``q*W + j`` otherwise, so the whole fold is three shifted copies of
+    ``R``: ``R[i] ^ (R[i-(q+1)W] & low_r) ^ (R[i-qW] & ~low_r)``.  ``R``
+    is built once per width and shared by every length folded at it.
 
-    tsl_dtype = _column_dtype(max(tage.config.index_bits,
-                                  tage.config.tag_bits, sc.index_bits))
-    cols = np.empty((n_cond, 2 * num_tables + num_sc), dtype=tsl_dtype)
-    slot_cols = None
-    if slot_fn is not None:
-        slot_cols = np.empty(
-            (n_cond, slot_count),
-            dtype=_column_dtype(llbp_config.pattern_tag_bits))
+    ``rows`` are the conditional branches' positions in the trace;
+    ``pcx`` (``pc >> 2``) and ``path`` (the 16-bit path register) are
+    sampled there.
+    """
 
-    match = tage._match
-    vote = sc._vote
-    history = tage.history
-    path_shift = tage._path_shift
-    push = history.push_branch
-    sc_hist = 0
-    sc_mask = (1 << 64) - 1
-    row_index = 0
-    for pc, btype, taken_i, target, gap in trace.iter_tuples():
-        if btype == 0:
-            pcx = pc >> 2
-            path = history.path
-            indices, tags, _, _ = match(
-                pcx, pcx ^ (path ^ (path >> path_shift)))
-            row = cols[row_index]
-            row[:num_tables] = indices
-            row[num_tables:2 * num_tables] = tags
-            row[2 * num_tables:] = vote(pcx, sc_hist)[0]
-            if slot_fn is not None:
-                slot_cols[row_index] = slot_fn(pcx)
-            sc_hist = ((sc_hist << 1) | taken_i) & sc_mask
-            row_index += 1
-        push(pc, btype == 0, taken_i == 1)
-    return cols, slot_cols
+    def __init__(self, trace: Trace) -> None:
+        cond = trace.types == 0
+        self.rows = np.flatnonzero(cond)
+        self.pcx = trace.pcs[cond] >> np.uint64(2)
+        address_bits = ((trace.pcs >> np.uint64(2))
+                        & np.uint64(1)).astype(np.uint8)
+        self.bits = np.where(cond, trace.takens, address_bits)
+        self.path = _shift_register(address_bits, PATH_BITS)[self.rows]
+        self._registers: Dict[int, np.ndarray] = {}
+
+    def fold(self, length: int, width: int) -> np.ndarray:
+        """The ``width``-bit fold of the last ``length`` bits, per branch."""
+        register = self._registers.get(width)
+        if register is None:
+            register = _shift_register(
+                _strided_prefix_xor(self.bits, width), width)
+            self._registers[width] = register
+        dtype = register.dtype.type
+        n = len(register)
+        q, r = divmod(length, width)
+        low = (1 << r) - 1
+        fold = register.copy()
+        lag = q * width
+        if lag < n:
+            fold[lag:] ^= register[:n - lag] & dtype(((1 << width) - 1) ^ low)
+        lag += width
+        if r and lag < n:
+            fold[lag:] ^= register[:n - lag] & dtype(low)
+        return fold
+
+    def tag_fold(self, length: int, width: int) -> np.ndarray:
+        """``fold(L, W) ^ (fold(L, max(1, W - 1)) << 1)`` — the TAGE tag
+        and LLBP pattern-tag double fold — at every conditional row."""
+        second = self.fold(length, max(1, width - 1))
+        second <<= second.dtype.type(1)
+        second ^= self.fold(length, width)
+        return second[self.rows]
+
+
+def _tsl_matrix(trace: Trace, folds: _Folds, tsl) -> np.ndarray:
+    """TAGE index/tag + SC index columns (``Tage._match``, ``sc._vote``)."""
+    pcx = folds.pcx
+    # The corrector's register is 64 bits wide, so longer SC lengths
+    # see the whole register.
+    _, sc_history = _cond_history_lanes(trace, 64)
+    tage_cfg = tsl.tage.config
+    sc = tsl.sc
+    lengths = tage_cfg.history_lengths
+    num_tables = len(lengths)
+    index_bits, tag_bits = tage_cfg.index_bits, tage_cfg.tag_bits
+    # Filled column by column, so column-major until the final copy.
+    cols = np.empty((len(pcx), 2 * num_tables + len(sc.history_lengths)),
+                    dtype=_column_dtype(max(index_bits, tag_bits,
+                                            sc.index_bits)), order="F")
+    idx_mask = np.uint64((1 << index_bits) - 1)
+    tag_mask = np.uint64((1 << tag_bits) - 1)
+    path = folds.path
+    path_mix = pcx ^ path ^ (path >> np.uint64(index_bits))
+    for t, length in enumerate(lengths):
+        cols[:, t] = ((pcx >> np.uint64(t + 1))
+                      ^ folds.fold(length, index_bits)[folds.rows]
+                      ^ path_mix) & idx_mask
+        cols[:, num_tables + t] = (
+            pcx ^ folds.tag_fold(length, tag_bits)) & tag_mask
+    sc_mask = np.uint64((1 << sc.index_bits) - 1)
+    for c, length in enumerate(sc.history_lengths):
+        h = sc_history & np.uint64((1 << min(length, 64)) - 1)
+        cols[:, 2 * num_tables + c] = (
+            pcx ^ (pcx >> np.uint64(c + 2)) ^ h
+            ^ (h >> np.uint64(sc.index_bits))) & sc_mask
+    return np.ascontiguousarray(cols)
+
+
+def _slot_tag_matrix(folds: _Folds, llbp_config) -> np.ndarray:
+    """LLBP pattern-tag columns, one per hash slot (``compute_slot_tags``)."""
+    pcx = folds.pcx
+    ptb = llbp_config.pattern_tag_bits
+    lengths = llbp_config.slot_lengths
+    slots = np.empty((len(pcx), len(lengths)), dtype=_column_dtype(ptb),
+                     order="F")
+    tag_mask = np.uint64((1 << ptb) - 1)
+    for h, length in enumerate(lengths):
+        slots[:, h] = (pcx ^ (pcx >> np.uint64(h + 2))
+                       ^ folds.tag_fold(length, ptb)
+                       ^ np.uint64(h * 0x9E5)) & tag_mask
+    return np.ascontiguousarray(slots)
 
 
 def _persist(trace: Trace, arrays: dict) -> None:
@@ -269,7 +356,7 @@ def tsl_columns(trace: Trace, predictor) -> np.ndarray:
     cached = trace.aux.get(key)
     if cached is None:
         start = time.perf_counter()
-        cached, _ = _record_columns(trace, predictor.config)
+        cached = _tsl_matrix(trace, _Folds(trace), predictor)
         trace.aux[key] = cached
         _persist(trace, {key: cached})
         telemetry.emit("sim.columns", workload=trace.name, key=key,
@@ -281,8 +368,8 @@ def tsl_columns(trace: Trace, predictor) -> np.ndarray:
 def llbp_columns(trace: Trace, predictor) -> Tuple[np.ndarray, np.ndarray]:
     """``(tsl_columns, slot_tag_columns)`` for an :class:`LLBPTageScL`.
 
-    Both matrices come out of one recorder pass when either is missing;
-    only the missing ones are (re)stored.
+    Both matrices share one set of history streams when either is
+    missing; only the missing ones are built and (re)stored.
     """
     t_key = tsl_key(predictor.tsl)
     s_key = llbp_key(predictor)
@@ -290,15 +377,14 @@ def llbp_columns(trace: Trace, predictor) -> Tuple[np.ndarray, np.ndarray]:
     s_cached = trace.aux.get(s_key)
     if t_cached is None or s_cached is None:
         start = time.perf_counter()
-        tsl_cols, slot_cols = _record_columns(
-            trace, predictor.tsl.config, predictor.config)
+        folds = _Folds(trace)
         fresh = {}
         if t_cached is None:
-            trace.aux[t_key] = t_cached = tsl_cols
-            fresh[t_key] = tsl_cols
+            t_cached = _tsl_matrix(trace, folds, predictor.tsl)
+            trace.aux[t_key] = fresh[t_key] = t_cached
         if s_cached is None:
-            trace.aux[s_key] = s_cached = slot_cols
-            fresh[s_key] = slot_cols
+            s_cached = _slot_tag_matrix(folds, predictor.config)
+            trace.aux[s_key] = fresh[s_key] = s_cached
         _persist(trace, fresh)
         telemetry.emit("sim.columns", workload=trace.name, key=s_key,
                        rows=len(s_cached),

@@ -183,6 +183,15 @@ class TestTCPBackend:
         assert len(joins) == 2
         assert len(leaves) == 2
 
+    def test_close_returns_promptly(self):
+        """close() wakes the thread blocked in accept() on the listener
+        instead of waiting out its thread-join deadline."""
+        backend = TCPBackend(spawn=1)
+        start = time.monotonic()
+        backend.close()
+        assert time.monotonic() - start < 1.0
+        assert not any(thread.is_alive() for thread in backend._threads)
+
     def test_dial_out_to_listening_worker(self, tmp_path, monkeypatch):
         """The multi-host shape: a --listen worker with its *own* cache
         directory serves a submitter that dials it; the trace travels

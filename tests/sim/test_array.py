@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.predictors.bimodal import Bimodal
+from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.registry import make_predictor
 from repro.sim import array
 from repro.sim.engine import ENGINE_ENV_VAR, resolve_engine, run_simulation
@@ -25,7 +25,7 @@ from repro.sim.multi import run_simulation_batch
 from repro.workloads.catalog import generate_workload, workload_names
 
 #: The families the array engine supports, by registry key.
-KEYS = ("gshare", "bimode", "percep", "tsl64", "llbp")
+KEYS = ("bimodal", "gshare", "bimode", "percep", "tsl64", "llbp")
 
 #: Same budget as the golden-MPKI fixtures: small enough that the full
 #: 14x3 matrix stays in test-suite territory, long enough to exercise
@@ -74,8 +74,8 @@ def test_supported_families():
     for key in KEYS:
         assert array.unsupported_reason(make_predictor(key)) is None
         assert array.supports(make_predictor(key))
-    assert not array.supports(Bimodal())
-    assert array.unsupported_reason(Bimodal()) is not None
+    assert not array.supports(PerfectPredictor())
+    assert array.unsupported_reason(PerfectPredictor()) is not None
 
 
 def test_without_per_pc_collection():
@@ -100,7 +100,7 @@ def test_explicit_warmup_budget():
 def test_unsupported_predictor_raises_in_direct_call():
     trace = generate_workload("Kafka", INSTRUCTIONS)
     with pytest.raises(ValueError, match="array engine cannot"):
-        array.run_simulation_array(trace, Bimodal())
+        array.run_simulation_array(trace, PerfectPredictor())
 
 
 class TestEngineSelection:
@@ -138,10 +138,10 @@ def test_unsupported_predictor_falls_back(tmp_path, monkeypatch):
     """``engine="array"`` with an unsupported predictor degrades to the
     Python engine — same answer, plus a ``sim.engine_fallback`` event."""
     trace = generate_workload("Kafka", INSTRUCTIONS)
-    ref = run_simulation(trace, Bimodal(), engine="python")
+    ref = run_simulation(trace, PerfectPredictor(), engine="python")
     monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "events"))
     try:
-        res = run_simulation(trace, Bimodal(), engine="array")
+        res = run_simulation(trace, PerfectPredictor(), engine="array")
     finally:
         telemetry.reset()
     assert ref == res

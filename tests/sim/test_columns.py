@@ -6,12 +6,20 @@ table contents, predictions and training.  These properties pin that:
 
 * the vectorised gshare index column equals a scalar replay through the
   real predictor's ``_index``/``update_history``;
-* the TAGE/SC column matrix recorded by a *fresh, untrained* predictor
-  equals the values a *live, training* simulation computes at every
-  conditional branch (captured by instrumenting the compiled ``_match``
-  and ``_vote`` cores mid-run);
-* ditto for the LLBP slot-tag matrix, wherever the live predictor
-  computes slot tags at all.
+* the closed-form TAGE/SC column matrix equals the values a *live,
+  training* simulation computes at every conditional branch (captured by
+  instrumenting the compiled ``_match`` and ``_vote`` cores mid-run);
+* ditto for the LLBP slot-tag matrix, captured from the live predictor's
+  ``compute_slot_tags`` at every conditional branch.
+
+The traces vary bit 2 of the PC (the bit unconditional branches shift
+into the history and every branch shifts into the path register), run
+past the longest TAGE history (3000 branches) so every fold drops bits,
+and include empty and conditional-free streams.  Geometries come from
+the ``repro.explore`` template spaces plus edge widths: a 1-bit second
+tag fold (``tag=2``), folds wider than their history, SC lengths beyond
+the corrector's 64-bit register, and LLBP over baselines whose tag folds
+it cannot borrow.
 """
 
 from __future__ import annotations
@@ -25,59 +33,94 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a dev extra
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
+from repro.explore.space import (LLBP_BUDGET_SMOKE, LLBP_CAPACITY,
+                                 TSL_GEOMETRY, TSL_SCALE_SMOKE)
+from repro.llbp.predictor import LLBPTageScL
 from repro.predictors.gshare import GShare
-from repro.predictors.registry import make_predictor
+from repro.predictors.registry import make_predictor, parse_llbp_spec
+from repro.predictors.tage import TageConfig
+from repro.predictors.tage_sc_l import TageScL, TslConfig
 from repro.sim import columns
 from repro.sim.engine import run_simulation
 from repro.traces.trace import TraceBuilder
 from repro.traces.types import BranchType
 from repro.workloads.catalog import generate_workload
 
-#: (pc-slot, branch type, taken) tuples; a handful of distinct PCs is
+BRANCH_TYPES = (BranchType.COND, BranchType.JUMP, BranchType.CALL,
+                BranchType.RET)
+
+#: (pc-slot, branch type, taken) tuples.  PCs are ``0x4000 + 4 * slot``,
+#: so bit 2 alternates with the slot; a handful of distinct PCs is
 #: enough to drive aliasing in every fold width the predictors use.
 branch_lists = st.lists(
-    st.tuples(st.integers(0, 7),
-              st.sampled_from([BranchType.COND, BranchType.JUMP,
-                               BranchType.CALL, BranchType.RET]),
+    st.tuples(st.integers(0, 15), st.sampled_from(BRANCH_TYPES),
               st.booleans()),
-    min_size=1, max_size=120)
+    min_size=0, max_size=120)
 
 
 def build_trace(branches):
     builder = TraceBuilder("prop")
     for slot, btype, taken in branches:
-        pc = 0x4000 + 16 * slot
+        pc = 0x4000 + 4 * slot
         builder.append(pc, btype, taken, pc ^ 0x1F0, 3)
     return builder.build()
 
 
-@given(branch_lists)
-def test_gshare_column_matches_scalar_replay(branches):
-    trace = build_trace(branches)
-    predictor = GShare()
-    expected = []
-    for pc, btype, taken, target, _gap in trace.iter_tuples():
-        if btype == 0:
-            expected.append(predictor._index(pc))
-        predictor.update_history(pc, btype, taken == 1, target)
-    column = columns.gshare_index_column(
-        trace, predictor.index_bits, predictor.history_bits)
-    assert column.tolist() == expected
+@st.composite
+def long_branch_lists(draw):
+    """Seeded random streams longer than the longest TAGE history.
+
+    ``cond_share`` 0 gives a stream with no conditional branch at all.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(3001, 3400))
+    cond_share = draw(st.sampled_from((0.0, 0.5, 0.9)))
+    slots = rng.integers(0, 64, length)
+    kinds = np.where(rng.random(length) < cond_share, 0,
+                     rng.integers(1, len(BRANCH_TYPES), length))
+    takens = rng.random(length) < 0.6
+    return [(int(slot), BRANCH_TYPES[kind], bool(taken))
+            for slot, kind, taken in zip(slots, kinds, takens)]
 
 
-@given(branch_lists)
-@settings(max_examples=25)
-def test_tsl_columns_match_live_simulation(branches):
-    """A fresh recorder and a live, training predictor hash identically."""
-    trace = build_trace(branches)
-    live = make_predictor("tsl64")
-    recorded_match, recorded_vote = [], []
+traces = st.one_of(branch_lists, long_branch_lists()).map(build_trace)
 
-    real_match, real_vote = live.tage._match, live.sc._vote
+
+TSL_KEYS = tuple(dict.fromkeys(
+    TSL_SCALE_SMOKE.expand() + TSL_GEOMETRY.expand()
+    + ["tsl:t=11,tag=2", "tsl:x=2,t=15,tag=10,sc=9", "edge"]))
+LLBP_SPECS = tuple(dict.fromkeys(
+    key.partition(":")[2]
+    for key in LLBP_BUDGET_SMOKE.expand() + LLBP_CAPACITY.expand()))
+#: tag_bits != pattern_tag_bits - 1 keeps LLBP from borrowing the
+#: baseline's tag folds, so the live predictor maintains its own pair.
+LLBP_BASELINES = ("tsl64", "tsl:t=11,tag=10", "tsl:x=4,tag=2")
+
+
+def make_tsl(key: str) -> TageScL:
+    """A registry TSL, or ``edge``: narrow folds over short and long
+    histories and SC lengths past the corrector's 64-bit register."""
+    if key != "edge":
+        return make_predictor(key)
+    return TageScL(TslConfig(
+        tage=TageConfig(history_lengths=(3, 9, 130, 3000), index_bits=5,
+                        tag_bits=2, bimodal_index_bits=6),
+        sc_index_bits=7, sc_history_lengths=(2, 64, 80)))
+
+
+def make_llbp(spec: str, baseline: str) -> LLBPTageScL:
+    return LLBPTageScL(parse_llbp_spec(spec),
+                       baseline=make_predictor(baseline))
+
+
+def _live_hashes(trace, live, tsl):
+    """Every TAGE/SC (and LLBP slot) hash a training simulation computes."""
+    recorded_match, recorded_vote, recorded_slots = [], [], []
+    real_match, real_vote = tsl.tage._match, tsl.sc._vote
 
     def spy_match(pcx, path_mix):
         indices, tags, provider, alt = real_match(pcx, path_mix)
-        recorded_match.append((list(indices), list(tags)))
+        recorded_match.append(list(indices) + list(tags))
         return indices, tags, provider, alt
 
     def spy_vote(pcx, history):
@@ -85,18 +128,73 @@ def test_tsl_columns_match_live_simulation(branches):
         recorded_vote.append(list(indices))
         return indices, vote
 
-    live.tage._match = spy_match
-    live.sc._vote = spy_vote
-    run_simulation(trace, live, warmup_instructions=0, engine="python")
+    tsl.tage._match = spy_match
+    tsl.sc._vote = spy_vote
+    if live is not tsl:
+        real_predict = live.predict
 
-    cols = columns.tsl_columns(trace, make_predictor("tsl64"))
-    num_tables = live.tage.config.num_tables
-    assert len(cols) == len(recorded_match) == len(recorded_vote)
-    for row, (indices, tags), sc_indices in zip(cols, recorded_match,
-                                                recorded_vote):
-        assert row[:num_tables].tolist() == indices
-        assert row[num_tables:2 * num_tables].tolist() == tags
-        assert row[2 * num_tables:].tolist() == sc_indices
+        def spy_predict(pc):
+            recorded_slots.append(list(live.compute_slot_tags(pc)))
+            return real_predict(pc)
+
+        live.predict = spy_predict
+    run_simulation(trace, live, warmup_instructions=0, engine="python")
+    return recorded_match, recorded_vote, recorded_slots
+
+
+def _assert_same_rows(got, expected):
+    """Row-by-row equality that reports the first differing row (a plain
+    ``==`` on long lists makes pytest diff the whole lists)."""
+    assert len(got) == len(expected)
+    for row, (a, b) in enumerate(zip(got, expected)):
+        assert a == b, f"row {row}"
+
+
+def _assert_tsl_rows(cols, tsl, recorded_match, recorded_vote):
+    num_tables = tsl.tage.config.num_tables
+    assert cols.shape == (len(recorded_match),
+                          2 * num_tables + len(tsl.sc.history_lengths))
+    _assert_same_rows(cols.tolist(), [
+        hashes + sc_indices
+        for hashes, sc_indices in zip(recorded_match, recorded_vote)])
+
+
+@given(traces, st.integers(1, 16), st.integers(1, 20))
+def test_gshare_column_matches_scalar_replay(trace, index_bits,
+                                             history_bits):
+    predictor = GShare(index_bits, history_bits)
+    expected = []
+    for pc, btype, taken, target, _gap in trace.iter_tuples():
+        if btype == 0:
+            expected.append(predictor._index(pc))
+        predictor.update_history(pc, btype, taken == 1, target)
+    column = columns.gshare_index_column(
+        trace, predictor.index_bits, predictor.history_bits)
+    _assert_same_rows(column.tolist(), expected)
+
+
+@given(traces, st.sampled_from(TSL_KEYS))
+@settings(max_examples=30)
+def test_tsl_columns_match_live_simulation(trace, key):
+    """The closed-form columns and a live, training predictor agree."""
+    live = make_tsl(key)
+    recorded_match, recorded_vote, _ = _live_hashes(trace, live, live)
+    cols = columns.tsl_columns(trace, make_tsl(key))
+    _assert_tsl_rows(cols, live, recorded_match, recorded_vote)
+
+
+@given(traces, st.sampled_from(LLBP_SPECS), st.sampled_from(LLBP_BASELINES))
+@settings(max_examples=20)
+def test_llbp_columns_match_live_simulation(trace, spec, baseline):
+    live = make_llbp(spec, baseline)
+    recorded_match, recorded_vote, recorded_slots = _live_hashes(
+        trace, live, live.tsl)
+    tsl_cols, slot_cols = columns.llbp_columns(
+        trace, make_llbp(spec, baseline))
+    _assert_tsl_rows(tsl_cols, live.tsl, recorded_match, recorded_vote)
+    assert slot_cols.shape == (len(recorded_slots),
+                               len(live.config.slot_lengths))
+    _assert_same_rows(slot_cols.tolist(), recorded_slots)
 
 
 def test_llbp_slot_tags_match_live_simulation():
@@ -131,6 +229,19 @@ def test_llbp_slot_tags_match_live_simulation():
     assert row_of_call, "no pattern-buffer hit ever computed slot tags"
     for row, tags in row_of_call.items():
         assert slot_cols[row].tolist() == tags
+
+
+@pytest.mark.parametrize("branches", [
+    [],
+    [(slot, BranchType.JUMP, True) for slot in range(5)],
+], ids=["empty", "no-conditional"])
+def test_columns_of_traces_without_conditional_branches(branches):
+    trace = build_trace(branches)
+    predictor = make_predictor("llbp")
+    tsl_cols, slot_cols = columns.llbp_columns(trace, predictor)
+    assert tsl_cols.shape == (0, 2 * 21 + 5)
+    assert slot_cols.shape == (0, len(predictor.config.slot_lengths))
+    assert columns.gshare_index_column(trace, 14, 14).shape == (0,)
 
 
 def test_columns_are_memoised_on_trace_aux():
