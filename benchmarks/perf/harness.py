@@ -24,7 +24,8 @@ Separate ``--sweep-only`` / ``--distributed-only`` / ``--server-only`` /
 measure the batched-runner sweep, the loopback-TCP worker fleets, the
 ``repro.server`` daemon, the Bi-Mode/perceptron families, the
 characterization pipeline and cold array jobs (column build + fused
-simulation, see :func:`measure_cold_columns`) respectively, each updating
+simulation, see :func:`measure_cold_columns`, plus the traced memory
+peak of a warm array run, :func:`measure_sim_peak`) respectively, each updating
 only its own section of the trajectory file (``batched_sweep`` /
 ``distributed_sweep`` / ``server_sweep`` / ``new_families`` /
 ``characterization`` / ``array_engine_cold``).
@@ -67,6 +68,13 @@ ARRAY_KEYS = ("gshare", "tsl64", "llbp")
 #: Keys whose cold array jobs are dominated by building hash columns
 #: (TAGE/SC folds, LLBP slot tags) — the ``array_engine_cold`` section.
 COLD_KEYS = ("tsl64", "llbp")
+
+#: Trace length for the traced-memory peak of a warm array run (see
+#: :func:`measure_sim_peak`).  The peak is bounded by a block of rows,
+#: not by the trace, so a short trace shows it; tracemalloc slows the
+#: generated loops by two orders of magnitude, so a long one would cost
+#: minutes.
+PEAK_INSTRUCTIONS = 90_000
 
 #: The scenario-diversity families (Bi-Mode, hashed perceptron) recorded
 #: in the ``new_families`` section: python and array throughput plus the
@@ -219,6 +227,40 @@ def measure_cold_columns(keys=COLD_KEYS, reps=5, trace=None):
     return {"trace": TRACE_NAME, "trace_instructions": TRACE_INSTRUCTIONS,
             "branches": len(trace), "reps": reps, "host_cpus": os.cpu_count(),
             "keys": out}
+
+
+def measure_sim_peak(keys=COLD_KEYS, trace=None):
+    """Traced Python-heap peak (MB) of one array run per key.
+
+    The columns are built and the loop compiled once by an untraced
+    warm-up run; a fresh predictor's ``run_simulation_array(...,
+    collect_per_pc=True)`` is then run under ``tracemalloc``.  numpy
+    buffers are traced too, so the peak covers the row lists the fused
+    loop converts, any matrix it derives from the columns and the
+    per-PC dicts.
+    """
+    import tracemalloc
+
+    from repro.sim.array import run_simulation_array
+    from repro.workloads.catalog import generate_workload
+
+    if trace is None:
+        trace = generate_workload(TRACE_NAME, PEAK_INSTRUCTIONS,
+                                  use_cache=False)
+    out = {}
+    for key in keys:
+        run_simulation_array(trace, _predictor(key), collect_per_pc=True)
+        predictor = _predictor(key)
+        tracemalloc.start()
+        try:
+            run_simulation_array(trace, predictor, collect_per_pc=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[key] = round(peak / 1e6, 2)
+        print(f"  {key:<12} traced peak {out[key]:.2f} MB (array run, "
+              "columns warm)", flush=True)
+    return out
 
 
 def measure_new_families(keys=NEW_FAMILY_KEYS, reps=5, trace=None):
@@ -725,13 +767,19 @@ def main(argv=None):
         print("measuring cold array jobs (column build + simulation)",
               flush=True)
         section = measure_cold_columns()
+        print("measuring the traced memory peak of warm array runs",
+              flush=True)
+        for key, peak in measure_sim_peak().items():
+            section["keys"][key]["traced_peak_mb"] = peak
+        section["peak_trace_instructions"] = PEAK_INSTRUCTIONS
         existing = (json.loads(args.output.read_text())
                     if args.output.exists() else {})
         # The pre-optimisation numbers stay, as for the top-level
         # before/after pair.
-        before = existing.get("array_engine_cold", {}).get("before")
-        if before is not None:
-            section["before"] = before
+        old = existing.get("array_engine_cold", {})
+        for field in ("before", "peak_before"):
+            if field in old:
+                section[field] = old[field]
         existing["array_engine_cold"] = section
         args.output.write_text(json.dumps(existing, indent=2) + "\n")
         print(f"wrote {args.output}")

@@ -46,7 +46,9 @@ full gate also checks the committed ``array_engine`` numbers hold the
 ≥5x floor over the committed Python ``after`` numbers and that a live
 measurement stays within the threshold of them, while the smoke gate
 compares the array/engine-null throughput ratio against the committed
-one so runner speed cancels out.
+one so runner speed cancels out.  Both modes also gate the array
+engine's memory: the tracemalloc peak of a warm run must stay within
+1.5x of the committed ``array_engine_cold`` ``traced_peak_mb`` per key.
 
 ``--smoke`` is for CI runners whose absolute speed has nothing to do with
 the machine that produced the committed baseline: it uses a reduced
@@ -413,6 +415,45 @@ def _smoke_array(trace, data: dict, threshold: float) -> int:
     return 0
 
 
+#: The traced-memory gate: a warm array run's tracemalloc peak may grow
+#: to at most this multiple of the committed ``traced_peak_mb`` (the
+#: ``array_engine_cold`` section).  The peak hardly depends on the
+#: runner, so one bound serves both modes.
+PEAK_HEADROOM = 1.5
+
+
+def _gate_peak(data: dict) -> int:
+    """Gate the array engine's memory: the traced Python-heap peak of a
+    warm run (``harness.measure_sim_peak``) must stay within
+    ``PEAK_HEADROOM`` of the committed value per key.  A fused loop
+    that converts more than a block of rows at once, or a run that
+    derives a whole-trace matrix from the columns, fails here.
+    """
+    from benchmarks.perf.harness import COLD_KEYS, measure_sim_peak
+
+    committed = data.get("array_engine_cold", {}).get("keys", {})
+    bases = {key: committed.get(key, {}).get("traced_peak_mb")
+             for key in COLD_KEYS}
+    if not all(bases.values()):
+        print("no committed traced_peak_mb in array_engine_cold; run "
+              "benchmarks/perf/harness.py --cold-only to record it")
+        return 1
+    measured = measure_sim_peak(COLD_KEYS)
+    failures = []
+    for key in COLD_KEYS:
+        bound = bases[key] * PEAK_HEADROOM
+        status = "ok" if measured[key] <= bound else "REGRESSED"
+        print(f"  peak:{key:<7} {measured[key]:.2f} MB vs committed "
+              f"{bases[key]:.2f} MB (bound {bound:.2f})  {status}")
+        if status != "ok":
+            failures.append(key)
+    if failures:
+        print(f"FAIL: traced memory peak gate failed for "
+              f"{', '.join(failures)}")
+        return 1
+    return 0
+
+
 #: The scenario-diversity families added with the characterization
 #: pipeline.  Their committed array numbers must beat their committed
 #: Python numbers by at least the floor (measured 4.6x for Bi-Mode and
@@ -558,6 +599,8 @@ def _smoke(args, baseline: dict) -> int:
         return 1
     if _smoke_array(trace, args.data, args.threshold):
         return 1
+    if _gate_peak(args.data):
+        return 1
     if _gate_new_families(trace, args.data):
         return 1
     if _gate_distributed(args.data):
@@ -651,6 +694,8 @@ def main(argv=None):
     if _gate_batched(trace, data.get("batched_sweep", {})):
         return 1
     if _gate_array(trace, data, args.threshold):
+        return 1
+    if _gate_peak(data):
         return 1
     if _gate_new_families(trace, data):
         return 1

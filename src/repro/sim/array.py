@@ -16,6 +16,11 @@ This engine removes all three:
   counters) lives in locals for the duration of the run and is written
   back in an epilogue.
 
+Memory is bounded by a block of rows, not by the trace: the loops read
+the column matrices as they are stored (no derived copy; LLBP zips its
+TAGE/SC rows with its slot-tag rows) and convert them to Python lists
+``_CHUNK`` rows at a time.
+
 The contract is **bit-identity** with the Python engine: same tables
 afterwards, same RNG call sequence, same :class:`SimulationResult`
 including the insertion order of the per-PC dicts.  The Python engine
@@ -47,8 +52,10 @@ from repro.sim import columns as columns_mod
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
 
-#: Records converted to Python lists per chunk in the fused loops.
-_CHUNK = 1 << 14
+#: Rows converted to Python lists at a time in the fused loops.  The
+#: lists of one block are all the loops hold beyond the numpy columns,
+#: so this bounds their memory; 256 rows already run as fast as 16,384.
+_CHUNK = 1 << 8
 
 
 # -- support matrix ----------------------------------------------------------
@@ -574,15 +581,13 @@ def _compile_llbp(p: LLBPTageScL):
     """Generate ``_sim(pcs, types, takens, gaps, rows, split, per_pc_misp)``.
 
     Iterates *all* records (the prefetch clock advances per record and
-    context-forming branches push the RCR); ``rows`` yields one combined
-    column row per conditional branch — TAGE indices/tags, SC indices,
-    then the 16 LLBP slot tags starting at ``SBASE``.
+    context-forming branches push the RCR); ``rows`` yields one
+    ``(row, srow)`` pair per conditional branch (:func:`_iter_rows`) —
+    the TAGE indices/tags and SC indices, and the LLBP slot tags.
     """
     tsl = p.tsl
     tage, sc, loop = tsl.tage, tsl.sc, tsl.loop
     num_tables = tage.config.num_tables
-    num_sc = len(sc.history_lengths)
-    slot_base = 2 * num_tables + num_sc
     pb_sets = p.buffer.num_sets
     cd_sets = p.directory.num_sets
     exclusive = p.config.exclusive_provider_training
@@ -634,7 +639,7 @@ def _compile_llbp(p: LLBPTageScL):
     def cond_body(measuring):
         b = []
         a = b.append
-        a("row = next_row()")
+        a("row, srow = next_row()")
         # -- pattern buffer probe (PatternBuffer.get + miss accounting) --
         a(f"pbs = PB_SETS[ccid % {pb_sets}]")
         a("ps = pbs.get(ccid)")
@@ -652,7 +657,7 @@ def _compile_llbp(p: LLBPTageScL):
         a("    ps_tags = ps.tags")
         a("    ps_hsl = ps.hslots")
         a("    for i in ps.vdesc:")
-        a(f"        if ps_tags[i] == row[{slot_base} + ps_hsl[i]]:")
+        a("        if ps_tags[i] == srow[ps_hsl[i]]:")
         a("            slot = i")
         a("            break")
         _emit_tage_lookup(a, tage)
@@ -708,7 +713,7 @@ def _compile_llbp(p: LLBPTageScL):
         _emit_tage_update(a, tage, guarded=exclusive)
         # -- pattern allocation on base (provider) misprediction --
         a("if base_pred != taken:")
-        a(f"    llbp_alloc(pc, taken, ccid, ps, row[{slot_base}:],"
+        a("    llbp_alloc(pc, taken, ccid, ps, srow,"
           " llbp_rank if overrode else provider + 1, now)")
         if timing:
             # Final misprediction: squash and re-run the prefetch
@@ -842,9 +847,16 @@ def _compile_llbp(p: LLBPTageScL):
 
 # -- driver ------------------------------------------------------------------
 
-def _iter_rows(cols: np.ndarray, chunk: int = _CHUNK):
+def _iter_rows(tsl_cols: np.ndarray, slot_cols: np.ndarray):
+    """``(tsl_row, slot_row)`` list pairs, one per conditional branch.
+
+    Both matrices are converted ``_CHUNK`` rows at a time and zipped, so
+    no combined matrix is ever built.
+    """
     return chain.from_iterable(
-        cols[lo:lo + chunk].tolist() for lo in range(0, len(cols), chunk))
+        zip(tsl_cols[lo:lo + _CHUNK].tolist(),
+            slot_cols[lo:lo + _CHUNK].tolist())
+        for lo in range(0, len(tsl_cols), _CHUNK))
 
 
 def _outcome_history(takens_cond: np.ndarray, history_bits: int,
@@ -980,18 +992,10 @@ def run_simulation_array(
         _restore_sc_history(predictor.sc, takens_cond)
     else:
         tsl_cols, slot_cols = columns_mod.llbp_columns(trace, predictor)
-        # The fused loop wants one row per branch; memoise the combined
-        # matrix (in-memory only — the store keeps the two parts).
-        combined_key = (columns_mod.tsl_key(predictor.tsl) + "+" +
-                        columns_mod.llbp_key(predictor))
-        cols = trace.aux.get(combined_key)
-        if cols is None:
-            cols = np.concatenate([tsl_cols, slot_cols], axis=1)
-            trace.aux[combined_key] = cols
         sim = _compile_llbp(predictor)
         measured_misp, misp_all = sim(
             trace.pcs, trace.types, trace.takens, trace.gaps,
-            _iter_rows(cols), split, per_pc_misp)
+            _iter_rows(tsl_cols, slot_cols), split, per_pc_misp)
         predictor.counts["predictions"] += n_cond
         _restore_sc_history(predictor.tsl.sc, takens_cond)
 

@@ -264,10 +264,11 @@ def _tsl_matrix(trace: Trace, folds: _Folds, tsl) -> np.ndarray:
     lengths = tage_cfg.history_lengths
     num_tables = len(lengths)
     index_bits, tag_bits = tage_cfg.index_bits, tage_cfg.tag_bits
-    # Filled column by column, so column-major until the final copy.
+    # Filled column by column straight into the row-major layout the
+    # fused loops read: one copy of the matrix, never two.
     cols = np.empty((len(pcx), 2 * num_tables + len(sc.history_lengths)),
                     dtype=_column_dtype(max(index_bits, tag_bits,
-                                            sc.index_bits)), order="F")
+                                            sc.index_bits)))
     idx_mask = np.uint64((1 << index_bits) - 1)
     tag_mask = np.uint64((1 << tag_bits) - 1)
     path = folds.path
@@ -284,7 +285,7 @@ def _tsl_matrix(trace: Trace, folds: _Folds, tsl) -> np.ndarray:
         cols[:, 2 * num_tables + c] = (
             pcx ^ (pcx >> np.uint64(c + 2)) ^ h
             ^ (h >> np.uint64(sc.index_bits))) & sc_mask
-    return np.ascontiguousarray(cols)
+    return cols
 
 
 def _slot_tag_matrix(folds: _Folds, llbp_config) -> np.ndarray:
@@ -292,14 +293,13 @@ def _slot_tag_matrix(folds: _Folds, llbp_config) -> np.ndarray:
     pcx = folds.pcx
     ptb = llbp_config.pattern_tag_bits
     lengths = llbp_config.slot_lengths
-    slots = np.empty((len(pcx), len(lengths)), dtype=_column_dtype(ptb),
-                     order="F")
+    slots = np.empty((len(pcx), len(lengths)), dtype=_column_dtype(ptb))
     tag_mask = np.uint64((1 << ptb) - 1)
     for h, length in enumerate(lengths):
         slots[:, h] = (pcx ^ (pcx >> np.uint64(h + 2))
                        ^ folds.tag_fold(length, ptb)
                        ^ np.uint64(h * 0x9E5)) & tag_mask
-    return np.ascontiguousarray(slots)
+    return slots
 
 
 def _persist(trace: Trace, arrays: dict) -> None:

@@ -27,7 +27,8 @@ empty ``Trace.aux``; a *future* version still fails loudly in
 :func:`read_packed` (and degrades to a regenerating cache miss in
 :class:`TraceStore.load`, with a ``trace.store_stale`` event).  A
 corrupt or truncated aux section is dropped — the main trace loads, the
-missing columns are recomputed and republished.
+missing columns are recomputed and republished.  A key may occur in
+more than one section; the last one wins.
 
 Properties the simulator relies on:
 
@@ -43,6 +44,14 @@ Properties the simulator relies on:
 * **atomic publish** — writers stage under a pid-suffixed temp name and
   ``os.replace`` into place, so concurrent workers generating the same
   workload never expose a torn file;
+* **locked in-place append** — :func:`append_aux` adds aux sections at
+  end-of-file under an exclusive ``flock``, after verifying every
+  section already there, so publishing a few columns never rereads the
+  file into private memory or rewrites it.  Bytes before the old
+  end-of-file never change; a reader that maps the file mid-append sees
+  at worst a torn last section, which it drops like any corrupt one.
+  v1 files and files with a torn or corrupt tail are republished whole
+  instead;
 * **corruption detection** — magic, version, length and the trailing
   digest are all verified on open; any mismatch raises
   :class:`TraceStoreError`, which the cache turns into a miss (the file
@@ -55,12 +64,13 @@ corrupt ones), alongside the pre-existing ``trace.cache`` accounting.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -123,8 +133,18 @@ def _padding(offset: int) -> int:
     return (-offset) % _ALIGN
 
 
-def _pack_aux_section(key: str, array: np.ndarray, offset: int) -> bytes:
-    """Serialise one aux column section starting at file ``offset``."""
+def _raw(array: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous ``array``, without copying them."""
+    return memoryview(array.reshape(-1).view(np.uint8))
+
+
+def _aux_section_parts(key: str, array: np.ndarray, offset: int) -> list:
+    """One aux column section starting at file ``offset``, as buffers.
+
+    Header, key and padding, the raw data (a zero-copy view of
+    ``array`` when it is already C-contiguous) and the digest; callers
+    join them (:func:`pack_trace`) or write them one by one.
+    """
     data = np.ascontiguousarray(array)
     try:
         code = _AUX_CODES[data.dtype]
@@ -142,8 +162,37 @@ def _pack_aux_section(key: str, array: np.ndarray, offset: int) -> bytes:
         raise ValueError(f"aux column {key!r} too large to pack")
     header = _AUX_HEADER.pack(_AUX_MAGIC, len(key_bytes), code, ncols, nrows)
     pad = b"\x00" * _padding(offset + len(header) + len(key_bytes))
-    body = b"".join((header, key_bytes, pad, data.tobytes()))
-    return body + hashlib.sha256(body).digest()
+    parts = [header + key_bytes + pad, _raw(data)]
+    digest = hashlib.sha256(parts[0])
+    digest.update(parts[1])
+    parts.append(digest.digest())
+    return parts
+
+
+def _packed_parts(trace: Trace) -> list:
+    """``trace`` in the packed format, as a list of buffers in file order.
+
+    Any arrays in ``trace.aux`` become self-checksummed aux sections
+    (sorted by key, so packing is deterministic).
+    """
+    name = trace.name.encode("utf-8")
+    if len(name) > 0xFFFF:
+        raise ValueError("trace name too long to pack")
+    head = _HEADER.pack(_MAGIC, _FORMAT_VERSION, len(name), len(trace)) + name
+    parts = [head + b"\x00" * _padding(len(head))]
+    for column, dtype in _COLUMNS:
+        array = np.ascontiguousarray(getattr(trace, column), dtype=dtype)
+        parts.append(_raw(array))
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    parts.append(digest.digest())
+    offset = sum(map(len, parts))
+    for key in sorted(trace.aux):
+        section = _aux_section_parts(key, trace.aux[key], offset)
+        parts.extend(section)
+        offset += sum(map(len, section))
+    return parts
 
 
 def pack_trace(trace: Trace) -> bytes:
@@ -152,33 +201,20 @@ def pack_trace(trace: Trace) -> bytes:
     Any arrays in ``trace.aux`` are appended as self-checksummed aux
     sections (sorted by key, so packing is deterministic).
     """
-    name = trace.name.encode("utf-8")
-    if len(name) > 0xFFFF:
-        raise ValueError("trace name too long to pack")
-    parts = [_HEADER.pack(_MAGIC, _FORMAT_VERSION, len(name), len(trace)),
-             name]
-    parts.append(b"\x00" * _padding(sum(map(len, parts))))
-    for column, dtype in _COLUMNS:
-        array = getattr(trace, column)
-        parts.append(np.ascontiguousarray(array, dtype=dtype).tobytes())
-    payload = b"".join(parts)
-    sections = [payload + hashlib.sha256(payload).digest()]
-    offset = len(sections[0])
-    for key in sorted(trace.aux):
-        section = _pack_aux_section(key, trace.aux[key], offset)
-        sections.append(section)
-        offset += len(section)
-    return b"".join(sections)
+    return b"".join(_packed_parts(trace))
 
 
 def write_packed(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` atomically (pid-temp + rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    parts = _packed_parts(trace)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(pack_trace(trace))
+            # Part by part: the file is never assembled in memory.
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except OSError:
         # The store is a cache; failing to publish must not fail the
@@ -193,14 +229,17 @@ class TraceStoreVersionError(TraceStoreError):
     """A packed trace file uses a format version this build cannot read."""
 
 
-def _unpack_aux(buffer, view, start: int, path: Path) -> Dict[str, np.ndarray]:
+def _unpack_aux(buffer, view, start: int,
+                path: Path) -> Tuple[Dict[str, np.ndarray], int]:
     """Parse aux sections from ``start`` to end-of-file.
 
     Aux columns are a derived cache riding along with the trace: any
     structural or checksum problem drops the offending section (and the
     rest of the file) with a ``trace.store_stale`` event rather than
     failing the trace load — the caller recomputes and republishes.
-    Sections already verified are kept.
+    Sections already verified are kept; a key that occurs twice reads
+    back as its last section.  Returns the columns and the offset just
+    past the last verified section (end-of-file for a sound file).
     """
     aux: Dict[str, np.ndarray] = {}
     pos = start
@@ -234,10 +273,12 @@ def _unpack_aux(buffer, view, start: int, path: Path) -> Dict[str, np.ndarray]:
     except TraceStoreError as error:
         telemetry.emit("trace.store_stale", path=str(path),
                        reason="aux-corrupt", error=str(error))
-    return aux
+    return aux, pos
 
 
-def _unpack(buffer, path: Path) -> Trace:
+def _unpack(buffer, path: Path) -> Tuple[Trace, int]:
+    """Verify and wrap a packed trace; also returns the verified length
+    (the offset just past the main digest or the last sound aux section)."""
     view = memoryview(buffer)
     if len(view) < _HEADER.size + _DIGEST_BYTES:
         raise TraceStoreError(f"{path}: truncated packed trace")
@@ -267,8 +308,9 @@ def _unpack(buffer, path: Path) -> Trace:
     trace = Trace(columns["pcs"], columns["types"], columns["takens"],
                   columns["targets"], columns["gaps"], name=name)
     if version >= 2 and expected < len(view):
-        trace.aux.update(_unpack_aux(buffer, view, expected, path))
-    return trace
+        aux, expected = _unpack_aux(buffer, view, expected, path)
+        trace.aux.update(aux)
+    return trace, expected
 
 
 def read_packed(path: Union[str, Path], use_mmap: bool = True) -> Trace:
@@ -292,7 +334,7 @@ def read_packed(path: Union[str, Path], use_mmap: bool = True) -> Trace:
                 buffer = fh.read()
     except OSError as error:
         raise TraceStoreError(f"{path}: unreadable ({error})") from error
-    return _unpack(buffer, path)
+    return _unpack(buffer, path)[0]
 
 
 def _default_root() -> Path:
@@ -366,20 +408,65 @@ class TraceStore:
         return path
 
 
+def _open_locked(path: Path):
+    """Open ``path`` for update under an exclusive ``flock``.
+
+    A rewrite publishes a new inode under the same name, so a lock won
+    on an inode that is no longer the one at ``path`` is dropped and
+    the open retried: the lock always covers the file a later open
+    would see.
+    """
+    while True:
+        fh = open(path, "r+b")
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            held, current = os.fstat(fh.fileno()), os.stat(path)
+            if (held.st_ino, held.st_dev) == (current.st_ino, current.st_dev):
+                return fh
+        except BaseException:
+            fh.close()
+            raise
+        fh.close()
+
+
 def append_aux(path: Union[str, Path],
                arrays: Dict[str, np.ndarray]) -> bool:
-    """Merge derived columns into the packed file at ``path``.
+    """Add derived columns to the packed file at ``path``.
 
-    Read-modify-publish: the file is reread privately (not mmapped),
-    the aux dict updated, and the whole file atomically republished.
-    Concurrent appenders may lose each other's columns — acceptable for
-    a derived-data cache, the loser simply recomputes next run.  Returns
-    ``False`` (without raising) if the file is unreadable.
+    Appenders serialise on an exclusive lock of the file.  Under it the
+    file is verified through a read-only mapping — header, main digest
+    and every aux section digest — and the new sections are written at
+    end-of-file; no byte already in the file changes.  The whole file
+    is republished (pid-temp + rename, keeping only the sections that
+    verify) only for a v1 file, or when the section walk does not end
+    exactly at end-of-file or a section fails its check.  A key
+    appended twice reads back as its last value.  Returns ``False``
+    (without raising) if the file is unreadable.
     """
+    path = Path(path)
     try:
-        trace = read_packed(path, use_mmap=False)
-    except TraceStoreError:
+        fh = _open_locked(path)
+    except OSError:
         return False
-    trace.aux.update(arrays)
-    write_packed(trace, path)
+    with fh:
+        try:
+            buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            trace, end = _unpack(buffer, path)
+        except (ValueError, OSError):  # empty, corrupt or unmappable
+            return False
+        version = _HEADER.unpack_from(buffer, 0)[1]
+        if version != _FORMAT_VERSION or end != len(buffer):
+            trace.aux.update(arrays)
+            write_packed(trace, path)
+            return True
+        try:
+            fh.seek(end)
+            for key, array in arrays.items():
+                for part in _aux_section_parts(key, array, end):
+                    end += fh.write(part)
+            fh.flush()
+        except OSError:
+            # A short append leaves a torn tail, which the next reader
+            # drops and the next appender rewrites.
+            return False
     return True

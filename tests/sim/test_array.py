@@ -13,13 +13,15 @@ unsupported predictors).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.registry import make_predictor
-from repro.sim import array
+from repro.sim import array, columns
 from repro.sim.engine import ENGINE_ENV_VAR, resolve_engine, run_simulation
 from repro.sim.multi import run_simulation_batch
 from repro.workloads.catalog import generate_workload, workload_names
@@ -162,3 +164,80 @@ def test_batch_matches_serial_python():
         collect_per_pc=True, engine="array")
     for ref, res in zip(refs, results):
         _assert_identical(ref, res)
+
+
+class TestRowBlockBoundaries:
+    """The fused loops convert rows ``array._CHUNK`` at a time (the LLBP
+    loop chunks records and conditional rows separately): runs whose
+    conditional count or warmup split lands on, just before or just
+    after a block edge must still match the oracle exactly."""
+
+    KEYS = ("tsl64", "llbp", "gshare")
+    BLOCK = array._CHUNK
+
+    @pytest.fixture(scope="class")
+    def kafka(self):
+        return generate_workload("Kafka", INSTRUCTIONS)
+
+    def _compare(self, trace, key, warmup=None):
+        oracle, subject = make_predictor(key), make_predictor(key)
+        ref = run_simulation(trace, oracle, warmup, collect_per_pc=True,
+                             engine="python")
+        res = array.run_simulation_array(trace, subject, warmup,
+                                         collect_per_pc=True)
+        _assert_identical(ref, res)
+        _assert_state_equal(oracle, subject)
+        return res
+
+    @pytest.mark.parametrize("delta", (-1, 0, 1))
+    def test_conditional_count_at_block_edge(self, kafka, delta):
+        cond_rows = np.flatnonzero(kafka.types == 0)
+        k = len(cond_rows) // self.BLOCK - 1
+        wanted = k * self.BLOCK + delta
+        # End the trace on its wanted-th conditional branch.
+        trace = kafka.slice(0, int(cond_rows[wanted - 1]) + 1)
+        assert trace.num_conditional == wanted
+        for key in self.KEYS:
+            self._compare(trace, key)
+
+    def test_conditional_warmup_split_on_block_edge(self, kafka):
+        cond_rows = np.flatnonzero(kafka.types == 0)
+        edge = 4 * self.BLOCK
+        # Warm up through the edge-th conditional branch exactly.
+        split = int(cond_rows[edge - 1]) + 1
+        warmup = int(np.cumsum(kafka.gaps, dtype=np.int64)[split - 1])
+        for key in self.KEYS:
+            res = self._compare(kafka, key, warmup)
+            assert res.cond_branches == len(cond_rows) - edge
+
+    def test_record_warmup_split_on_block_edge(self, kafka):
+        split = 8 * self.BLOCK
+        warmup = int(np.cumsum(kafka.gaps, dtype=np.int64)[split - 1])
+        for key in self.KEYS:
+            res = self._compare(kafka, key, warmup)
+            assert res.branches == len(kafka) - split
+
+
+@pytest.mark.parametrize("key", ("tsl512", "llbp"))
+def test_traced_peak_is_bounded_by_a_row_block(key):
+    """With the columns built, a run allocates per block of rows, not per
+    trace: the traced Python-heap peak of a 90k-instruction Kafka run
+    (13.5k conditional branches) stays under 6 MB.  A whole-trace list
+    conversion, or a third copy of the column matrices, costs well over
+    that (15.7 MB for tsl512 and 24 MB for llbp with 16k-row blocks)."""
+    trace = generate_workload("Kafka", 90_000)
+    warm = make_predictor(key)
+    if key == "llbp":
+        columns.llbp_columns(trace, warm)
+    else:
+        columns.tsl_columns(trace, warm)
+    # One untraced run compiles the loop once and leaves every memo warm.
+    array.run_simulation_array(trace, warm, collect_per_pc=True)
+    predictor = make_predictor(key)
+    tracemalloc.start()
+    try:
+        array.run_simulation_array(trace, predictor, collect_per_pc=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000, f"{key}: traced peak {peak / 1e6:.1f} MB"

@@ -11,6 +11,7 @@ miss.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.traces.store import (
     TraceStoreError,
     TraceStoreVersionError,
     append_aux,
+    pack_trace,
     read_packed,
     write_packed,
 )
@@ -175,6 +177,96 @@ class TestAppendAux:
         assert not append_aux(bad, _aux_arrays())
 
 
+def _section_size(key, array, offset):
+    """Bytes one aux section takes when it starts at file ``offset``."""
+    head = store._AUX_HEADER.size + len(key.encode("utf-8"))
+    return (head + (-(offset + head)) % 16 + array.nbytes
+            + store._DIGEST_BYTES)
+
+
+def _verified_length(path):
+    """Offset where the section walk of ``path`` stops verifying."""
+    return store._unpack(path.read_bytes(), path)[1]
+
+
+class TestAppendAuxInPlace:
+    """A sound v2 file grows by the new sections alone, under the lock;
+    v1 files and files with a torn or corrupt tail are rewritten whole."""
+
+    def test_appends_without_touching_existing_bytes(self, mixed_trace,
+                                                     tmp_path):
+        mixed_trace.aux["cols/llbp:cafe"] = np.arange(8, dtype=np.uint16)
+        path = tmp_path / "t.rpt"
+        write_packed(mixed_trace, path)
+        before = path.read_bytes()
+        inode = os.stat(path).st_ino
+        assert append_aux(path, _aux_arrays())
+        after = path.read_bytes()
+        assert os.stat(path).st_ino == inode  # not republished
+        assert after[:len(before)] == before
+        offset, grown = len(before), 0
+        for key, array in _aux_arrays().items():
+            size = _section_size(key, array, offset + grown)
+            grown += size
+        assert len(after) == len(before) + grown
+        assert _verified_length(path) == len(after)
+        merged = dict(_aux_arrays(), **{"cols/llbp:cafe": np.arange(
+            8, dtype=np.uint16)})
+        _assert_aux_equal(read_packed(path).aux, merged)
+
+    def test_v1_file_is_rewritten_as_v2(self, mixed_trace, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setattr(store, "_FORMAT_VERSION", 1)
+        path = tmp_path / "v1.rpt"
+        write_packed(mixed_trace, path)
+        monkeypatch.undo()
+        assert append_aux(path, _aux_arrays())
+        data = path.read_bytes()
+        assert int.from_bytes(data[4:6], "little") == 2
+        mixed_trace.aux.update(_aux_arrays())
+        assert data == pack_trace(mixed_trace)
+        trace = read_packed(path)
+        assert np.array_equal(trace.pcs, mixed_trace.pcs)
+        _assert_aux_equal(trace.aux, _aux_arrays())
+
+    @pytest.mark.parametrize("damage", ("truncate", "corrupt"))
+    def test_damaged_tail_falls_back_to_rewrite(self, mixed_trace, tmp_path,
+                                                damage):
+        mixed_trace.aux.update(_aux_arrays())
+        path = tmp_path / "t.rpt"
+        write_packed(mixed_trace, path)
+        data = bytearray(path.read_bytes())
+        if damage == "truncate":
+            del data[-7:]
+        else:
+            data[-40] ^= 0xFF  # data bytes of the last aux section
+        path.write_bytes(bytes(data))
+        inode = os.stat(path).st_ino
+        fresh = {
+            "cols/percep:3": np.arange(10, dtype=np.uint32).reshape(5, 2),
+            "cols/zz:1": np.arange(4, dtype=np.uint64),
+        }
+        assert append_aux(path, fresh)
+        assert os.stat(path).st_ino != inode  # republished
+        # The damaged (last, by key order) section is gone; the sound
+        # one before it and every new column read back.
+        first_key = sorted(_aux_arrays())[0]
+        expected = dict(fresh, **{first_key: _aux_arrays()[first_key]})
+        _assert_aux_equal(read_packed(path).aux, expected)
+        assert _verified_length(path) == path.stat().st_size
+
+    def test_key_appended_twice_reads_back_last_value(self, mixed_trace,
+                                                      tmp_path):
+        path = tmp_path / "t.rpt"
+        write_packed(mixed_trace, path)
+        first = np.arange(6, dtype=np.uint32)
+        assert append_aux(path, {"cols/gshare:14:14": first})
+        assert append_aux(path, {"cols/gshare:14:14": first * 3})
+        aux = read_packed(path).aux
+        assert list(aux) == ["cols/gshare:14:14"]
+        assert np.array_equal(aux["cols/gshare:14:14"], first * 3)
+
+
 def _hammer_aux(path, tag, rounds):
     """Subprocess body: repeatedly merge a distinctly-named column."""
     wrote = 0
@@ -188,10 +280,10 @@ def _hammer_aux(path, tag, rounds):
 class TestAppendAuxConcurrency:
     def test_two_processes_never_corrupt_the_file(self, mixed_trace,
                                                   tmp_path):
-        """Concurrent appenders are allowed to lose each other's
-        *columns* (the loser recomputes), but never to corrupt the
-        container: after the storm the file must still read back with
-        valid checksums and untouched base columns."""
+        """Concurrent appenders never corrupt the container: after the
+        storm the file must still read back with valid checksums and
+        untouched base columns.  Appends are serialised on the file
+        lock, so no appender loses another's columns either."""
         path = tmp_path / "t.rpt"
         write_packed(mixed_trace, path)
         with ProcessPoolExecutor(max_workers=2) as pool:
@@ -208,3 +300,11 @@ class TestAppendAuxConcurrency:
         assert any(key.startswith("cols/") for key in trace.aux)
         for array in trace.aux.values():
             assert array.dtype == np.uint32 and array.shape == (16,)
+        # Every key survives, holding its writer's last value, and the
+        # whole file verifies to its end.
+        keys = {f"cols/{tag}:{k}" for tag in "ab" for k in range(4)}
+        assert set(trace.aux) == keys
+        for key in keys:
+            last = max(i for i in range(25) if i % 4 == int(key[-1]))
+            assert np.array_equal(trace.aux[key], np.full(16, last))
+        assert _verified_length(path) == path.stat().st_size
